@@ -1,11 +1,12 @@
 """Shared helpers for the benchmark harness.
 
-Every benchmark regenerates one experiment from ``DESIGN.md`` (E1-E14): it
-runs the experiment once under ``pytest-benchmark`` timing, asserts the
-qualitative outcome the paper predicts, and writes the measured table to
-``benchmarks/results/<experiment id>.txt`` so the numbers can be inspected
-after a ``pytest benchmarks/ --benchmark-only`` run (stdout is captured by
-pytest).  ``EXPERIMENTS.md`` records the expected shape of each table.
+Every benchmark regenerates one experiment (``python -m repro.cli list``
+names them): it runs the experiment once under ``pytest-benchmark`` timing,
+asserts the qualitative outcome the paper predicts, and writes the measured
+table to ``benchmarks/results/<experiment id>.txt`` so the numbers can be
+inspected after a ``pytest benchmarks/ --benchmark-only`` run (stdout is
+captured by pytest).  ``docs/PERFORMANCE.md`` explains the performance
+tables and the command behind each one.
 
 ``benchmarks/results/`` is gitignored scratch space for fresh runs; the
 checked-in copies of representative tables live in ``benchmarks/reference/``

@@ -76,8 +76,8 @@ _RESULT_STORE = None
 def set_result_store(store):
     """Route campaign-backed experiments through a results store; returns the previous setting.
 
-    ``store`` is a :class:`~repro.store.backend.ResultStore`, a path (opened
-    per campaign via :func:`~repro.store.backend.open_store`), or ``None`` to
+    ``store`` is a :class:`~repro.store.backend.SqliteResultStore`, a path
+    (opened per campaign), or ``None`` to
     go back to live execution.  With a populated store, experiment tables are
     served from cached rows — byte-identical to a live run, courtesy of the
     engine's purity guarantee — and any trials the store is missing are run

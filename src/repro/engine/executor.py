@@ -7,8 +7,8 @@ events, cooperative cancellation and status snapshots.  This module keeps the
 historical functional surface on top of it:
 
 * :func:`execute_specs` — yield one row per spec, in spec order, through a
-  session (byte-identical to the pre-session engine for every engine, pool
-  and worker count, modulo ``elapsed_ms``);
+  session (byte-identical to the pre-session engine for every engine and
+  worker count, modulo ``elapsed_ms``);
 * :func:`run_campaign` — run a whole :class:`~repro.engine.campaign.Campaign`
   with JSONL sink / callback / collection plumbing and return its
   :class:`~repro.engine.session.CampaignSummary`;
@@ -27,7 +27,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Sequence
 
 from repro.engine.campaign import Campaign
-from repro.engine.pool import POOL_CHOICES, ExecutionUnit
+from repro.engine.pool import ExecutionUnit
 from repro.engine.session import (
     ENGINE_CHOICES,
     STORE_COMMIT_CHUNK,
@@ -40,11 +40,10 @@ from repro.engine.spec import TrialResult, TrialSpec
 from repro.obs.trace import TraceRecorder
 
 if TYPE_CHECKING:  # imported lazily at runtime to avoid an import cycle
-    from repro.store.backend import ResultStore
+    from repro.store.backend import SqliteResultStore
 
 __all__ = [
     "ENGINE_CHOICES",
-    "POOL_CHOICES",
     "STORE_COMMIT_CHUNK",
     "CampaignSession",
     "CampaignSummary",
@@ -123,22 +122,20 @@ def execute_specs(
     workers: int = 1,
     chunksize: int | None = None,
     engine: str = "auto",
-    store: "ResultStore | None" = None,
+    store: "SqliteResultStore | None" = None,
     reuse_cached: bool = True,
     cache_stats: StoreCacheStats | None = None,
     fallback_reasons: dict[str, int] | None = None,
-    pool: str = "persistent",
     claim_wait_timeout: float = 60.0,
 ) -> Iterator[TrialResult]:
     """Yield one :class:`TrialResult` per spec, in spec order.
 
     ``engine`` picks the execution substrate (see :data:`ENGINE_CHOICES`);
     the emitted rows are byte-identical (modulo ``elapsed_ms``) for every
-    engine, pool and worker count.  ``workers <= 1`` runs inline (no
-    subprocess overhead, simplest debugging); otherwise the plan's execution
-    units are cut into cost-model-sized tasks and fanned out over the
-    ``pool`` substrate (:data:`POOL_CHOICES` — the persistent shared-memory
-    pool by default) while this iterator yields results back in order.  An
+    engine and worker count.  ``workers <= 1`` runs inline (no subprocess
+    overhead, simplest debugging); otherwise the plan's execution units are
+    cut into cost-model-sized tasks and fanned out over the persistent
+    shared-memory pool while this iterator yields results back in order.  An
     explicit ``chunksize`` overrides the cost model's task sizing on every
     multi-worker path.
 
@@ -159,7 +156,6 @@ def execute_specs(
         engine=engine,
         store=store,
         reuse_cached=reuse_cached,
-        pool=pool,
         claim_wait_timeout=claim_wait_timeout,
         cache_stats=cache_stats,
         fallback_reasons=fallback_reasons,
@@ -174,27 +170,24 @@ def run_campaign(
     on_result: Callable[[TrialResult], None] | None = None,
     collect: bool = False,
     engine: str = "auto",
-    store: "ResultStore | str | Path | None" = None,
+    store: "SqliteResultStore | str | Path | None" = None,
     reuse_cached: bool = True,
-    pool: str = "persistent",
     chunksize: int | None = None,
     session_factory: Callable[..., CampaignSession] = CampaignSession,
     trace: TraceRecorder | None = None,
 ) -> tuple[CampaignSummary, list[TrialResult]]:
     """Run every trial of the campaign, streaming rows to the optional sink.
 
-    ``engine`` selects the execution substrate (:data:`ENGINE_CHOICES`) and
-    ``pool`` the multi-worker dispatch substrate (:data:`POOL_CHOICES`); rows
-    are byte-identical across engines, pools and worker counts modulo
+    ``engine`` selects the execution substrate (:data:`ENGINE_CHOICES`); rows
+    are byte-identical across engines and worker counts modulo
     ``elapsed_ms``.  ``store`` — a
-    :class:`~repro.store.backend.ResultStore` or a path, opened (and closed)
-    by the session via :func:`~repro.store.backend.open_store` — enables the
-    write-through cache: cached trials are served without execution (set
-    ``reuse_cached=False`` to force recomputation while still recording),
-    misses commit per execution unit, and the summary's ``cache_hits``
-    reports the split.  Returns the summary and — only when ``collect=True``
-    — the full result list (large sweeps should rely on the JSONL sink
-    instead and keep ``collect`` off).
+    :class:`~repro.store.backend.SqliteResultStore` or a path, opened (and
+    closed) by the session — enables the write-through cache: cached trials
+    are served without execution (set ``reuse_cached=False`` to force
+    recomputation while still recording), misses commit per execution unit,
+    and the summary's ``cache_hits`` reports the split.  Returns the summary
+    and — only when ``collect=True`` — the full result list (large sweeps
+    should rely on the JSONL sink instead and keep ``collect`` off).
 
     ``session_factory`` lets callers observe or steer the underlying
     :class:`CampaignSession` (e.g. to keep a handle for ``status()`` or
@@ -209,7 +202,6 @@ def run_campaign(
         engine=engine,
         store=store,
         reuse_cached=reuse_cached,
-        pool=pool,
         trace=trace,
     )
     collected: list[TrialResult] = []

@@ -262,7 +262,6 @@ def run_fuzz(
     engine: str = "auto",
     store: Any = None,
     reuse_cached: bool = True,
-    pool: str = "persistent",
     trace: TraceRecorder | None = None,
 ) -> FuzzReport:
     """Sample ``count`` scenarios and execute them, checking both invariants.
@@ -270,8 +269,8 @@ def run_fuzz(
     Runs as a :class:`~repro.engine.session.CampaignSession`, so rows stream
     to the optional JSONL sink in trial order and the output is
     worker-count-invariant.  ``store`` (a
-    :class:`~repro.store.backend.ResultStore` or path) enables the engine's
-    write-through cache — invariants are still asserted on served rows, so a
+    :class:`~repro.store.backend.SqliteResultStore` or path) enables the
+    engine's write-through cache — invariants are still asserted on served rows, so a
     resumed fuzz run re-checks everything while recomputing nothing.  The
     report collects one :class:`FuzzViolation` per trial that errored,
     disagreed, or decided outside the honest hull; a clean report means
@@ -294,7 +293,6 @@ def run_fuzz(
         engine=engine,
         store=store,
         reuse_cached=reuse_cached,
-        pool=pool,
         trace=trace,
     )
 

@@ -94,13 +94,15 @@ DENSE_POINT_CROSSOVER = 9
 # ---------------------------------------------------------------------------
 
 def _as_cloud_array(points: object) -> np.ndarray:
-    """Coerce a PointMultiset / array / nested sequence to a ``(k, d)`` array."""
+    """Coerce a PointMultiset / array / nested sequence to a finite ``(k, d)`` array."""
     cloud = getattr(points, "points", points)
     cloud = np.asarray(cloud, dtype=float)
     if cloud.ndim == 1:
         cloud = cloud.reshape(-1, 1) if cloud.size else cloud.reshape(0, 1)
     if cloud.ndim != 2:
         raise GeometryError(f"point cloud must be 2-dimensional, got shape {cloud.shape}")
+    if not np.isfinite(cloud).all():
+        raise GeometryError("point cloud contains non-finite coordinates")
     return cloud
 
 

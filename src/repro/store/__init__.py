@@ -3,9 +3,8 @@
 The deterministic engine (PRs 2–4) makes every trial a pure function of its
 :class:`~repro.engine.spec.TrialSpec`.  This package turns that guarantee
 into a serving substrate: trial rows are warehoused under a content address
-derived from the spec itself (:mod:`repro.store.keys`), behind one
-:class:`~repro.store.backend.ResultStore` interface with SQLite and
-JSONL-directory backends (:mod:`repro.store.backend`), and queried without
+derived from the spec itself (:mod:`repro.store.keys`) in one SQLite file
+(:class:`~repro.store.backend.SqliteResultStore`), and queried without
 re-execution through :mod:`repro.store.query`.
 
 The executor (:mod:`repro.engine.executor`) consults a store before planning
@@ -15,15 +14,7 @@ is what makes interrupted campaigns resumable and repeated grids cheap.  The
 ``export`` / ``gc`` / ``import``) manages stores from the shell.
 """
 
-from repro.store.backend import (
-    BACKEND_CHOICES,
-    INDEXED_COLUMNS,
-    JsonlDirectoryStore,
-    ResultStore,
-    SqliteResultStore,
-    StoreEntry,
-    open_store,
-)
+from repro.store.backend import INDEXED_COLUMNS, SqliteResultStore, StoreEntry
 from repro.store.keys import (
     ENGINE_VERSION,
     VOLATILE_SPEC_FIELDS,
@@ -40,19 +31,15 @@ from repro.store.query import (
 
 __all__ = [
     "AGGREGATE_COLUMNS",
-    "BACKEND_CHOICES",
     "ENGINE_VERSION",
     "INDEXED_COLUMNS",
     "VOLATILE_SPEC_FIELDS",
-    "JsonlDirectoryStore",
-    "ResultStore",
     "SqliteResultStore",
     "StoreEntry",
     "StoredTrial",
     "TrialFilter",
     "aggregate_store",
     "canonical_spec_payload",
-    "open_store",
     "query_store",
     "trial_key",
 ]

@@ -1,51 +1,34 @@
-"""Result-store backends: one ``ResultStore`` interface, two on-disk layouts.
+"""The result store: a single SQLite file of content-addressed trial rows.
 
-A :class:`ResultStore` is an append-mostly warehouse of trial rows keyed by
-:func:`~repro.store.keys.trial_key` content addresses.  Both backends share
-the same durability contract the executor's resume path relies on:
+A :class:`SqliteResultStore` is an append-mostly warehouse of trial rows
+keyed by :func:`~repro.store.keys.trial_key` content addresses, with the
+spec's shape columns mirrored into indexed columns so the query layer can
+push ``WHERE`` clauses into the database.  The executor's resume path relies
+on its durability contract:
 
-* :meth:`ResultStore.put_results` is **transactional on the SQLite backend**
-  (one SQL transaction per call) and per-shard-append on the JSONL backend —
-  the executor calls it once per completed execution unit, so an interrupted
-  campaign leaves the store at a clean unit boundary on SQLite, and at worst
-  a partially-appended unit (whole rows, at most one torn trailing line) on
-  JSONL;
+* :meth:`SqliteResultStore.put_results` is **transactional** (one SQL
+  transaction per call) — the executor calls it once per completed execution
+  unit, so an interrupted campaign leaves the store at a clean unit
+  boundary;
 * writes are **idempotent** — re-putting a key overwrites with the same
   bytes, so replaying a partial or whole unit after a crash is harmless;
-  this is what keeps the JSONL backend's weaker atomicity safe: resume
-  simply re-runs whatever the store is missing;
 * rows are stamped with the :data:`~repro.store.keys.ENGINE_VERSION` they
   were produced under.  Because keys are salted with that version, stale
-  rows are unreachable by lookup; :meth:`ResultStore.gc` deletes them;
+  rows are unreachable by lookup; :meth:`SqliteResultStore.gc` deletes them;
 * every mutating commit bumps a **generation counter**
-  (:meth:`ResultStore.generation`) in the same transaction, so read-side
-  caches (ETag digests, response bodies) can validate in O(1): equal
-  generations bracket an unchanged result set, across processes.
+  (:meth:`SqliteResultStore.generation`) in the same transaction, so
+  read-side caches (ETag digests, response bodies) can validate in O(1):
+  equal generations bracket an unchanged result set, across processes.
 
-Backends:
-
-* :class:`SqliteResultStore` — a single SQLite file with the spec's shape
-  columns mirrored into indexed columns, so the query layer can push
-  ``WHERE`` clauses into the database.  This is the scale backend (atomic
-  transactions, cheap point lookups at millions of rows).
-* :class:`JsonlDirectoryStore` — a directory of append-only JSON-lines
-  shards (fanned out by the first key byte), fully greppable and
-  merge-friendly.  The whole index is held in memory, which is fine at
-  campaign scale; a torn trailing line from an interrupted append is
-  detected and skipped on load (and reported via ``corrupt_lines``).
-
-:func:`open_store` picks a backend from the path (existing directory or
-suffix-less path → JSONL directory, anything else → SQLite) unless told
-explicitly.
+JSONL is the interchange format: ``repro store export`` writes it and
+:meth:`SqliteResultStore.import_jsonl` reads it back.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import sqlite3
 import time
-from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Mapping, Sequence
@@ -57,22 +40,14 @@ from repro.obs.registry import get_registry
 from repro.store.keys import ENGINE_VERSION, trial_key
 
 __all__ = [
-    "BACKEND_CHOICES",
     "INDEXED_COLUMNS",
     "StoreEntry",
-    "ResultStore",
     "SqliteResultStore",
-    "JsonlDirectoryStore",
-    "open_store",
 ]
 
-#: Backend names accepted by :func:`open_store` (and the CLI's ``--store-backend``).
-BACKEND_CHOICES = ("auto", "sqlite", "jsonl")
-
-#: Spec/outcome columns every backend can filter on without parsing rows.
-#: The SQLite backend mirrors them into indexed columns; the JSONL backend
-#: filters its in-memory index.  Keys of the ``where`` mapping accepted by
-#: :meth:`ResultStore.iter_entries` must come from this set.
+#: Spec/outcome columns the store can filter on without parsing rows (each is
+#: mirrored into its own SQL column).  Keys of the ``where`` mapping accepted by
+#: :meth:`SqliteResultStore.iter_entries` must come from this set.
 INDEXED_COLUMNS = (
     "protocol",
     "workload",
@@ -157,22 +132,133 @@ def _count_claims(granted: int, requested: int) -> None:
         _STORE_CLAIMS.labels(outcome="denied").inc(requested - granted)
 
 
-class ResultStore(ABC):
-    """Content-addressed warehouse of trial rows (see module docstring)."""
+def _indexed_values(row: Mapping[str, Any]) -> tuple[Any, ...]:
+    return tuple(row.get(_ROW_FIELD[column]) for column in _ROW_FIELD)
 
-    #: Human-readable backend name ("sqlite" | "jsonl").
-    backend_name: str
 
-    def __init__(self, path: str | Path) -> None:
+_SQLITE_SCHEMA = f"""
+CREATE TABLE IF NOT EXISTS trials (
+    key TEXT PRIMARY KEY,
+    engine_version TEXT NOT NULL,
+    {", ".join(f"{column} {'INTEGER' if column in ('process_count', 'dimension', 'fault_bound') else 'TEXT'}" for column in _ROW_FIELD)},
+    created_at REAL NOT NULL,
+    row TEXT NOT NULL
+);
+CREATE INDEX IF NOT EXISTS idx_trials_shape
+    ON trials (protocol, dimension, fault_bound, adversary);
+CREATE INDEX IF NOT EXISTS idx_trials_version ON trials (engine_version);
+CREATE TABLE IF NOT EXISTS claims (
+    key TEXT PRIMARY KEY,
+    owner TEXT NOT NULL,
+    claimed_at REAL NOT NULL
+);
+CREATE TABLE IF NOT EXISTS meta (
+    name TEXT PRIMARY KEY,
+    value INTEGER NOT NULL
+);
+INSERT OR IGNORE INTO meta (name, value) VALUES ('generation', 0);
+"""
+
+_BUMP_GENERATION = "UPDATE meta SET value = value + 1 WHERE name = 'generation'"
+
+# SQLite caps bound parameters per statement; stay well under the historic
+# 999 default.
+_SQLITE_KEY_CHUNK = 500
+
+
+class SqliteResultStore:
+    """Content-addressed warehouse of trial rows (see module docstring).
+
+    One SQLite file with indexed shape columns.  ``check_same_thread=False``
+    is for pooled handles whose owner guarantees one-thread-at-a-time use but
+    closes them from a different thread at shutdown (the serving layer's
+    per-thread pool).
+    """
+
+    #: Reported as ``stats()["backend"]`` and as the ``backend`` label on the
+    #: store's telemetry series.
+    backend_name = "sqlite"
+
+    #: Seconds after which an unreleased claim expires (a crashed claimant
+    #: must not block other processes forever).
+    CLAIM_TTL_SECONDS = 300.0
+
+    def __init__(self, path: str | Path, check_same_thread: bool = True) -> None:
         self.path = Path(path)
+        if self.path.is_dir():
+            raise ConfigurationError(
+                f"{self.path} is a directory, not a usable SQLite result store file"
+            )
+        self.path.parent.mkdir(parents=True, exist_ok=True)
+        try:
+            self._connection = sqlite3.connect(
+                str(self.path), check_same_thread=check_same_thread
+            )
+        except sqlite3.Error as error:
+            raise ConfigurationError(
+                f"{self.path} is not a usable SQLite result store: {error}"
+            ) from error
+        try:
+            # Concurrent campaigns over one store serialise their claim and
+            # commit transactions; wait for the lock instead of failing.
+            self._connection.execute("PRAGMA busy_timeout = 30000")
+            self._connection.executescript(_SQLITE_SCHEMA)
+            self._connection.commit()
+        except sqlite3.DatabaseError as error:
+            self._connection.close()
+            raise ConfigurationError(
+                f"{self.path} is not a usable SQLite result store: {error}"
+            ) from error
 
-    # -- required backend primitives -------------------------------------------
+    def __enter__(self) -> "SqliteResultStore":
+        return self
 
-    @abstractmethod
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
+
+    def close(self) -> None:
+        """Close the connection (idempotent)."""
+        self._connection.close()
+
+    # -- rows ----------------------------------------------------------------
+
     def get_rows(self, keys: Sequence[str]) -> dict[str, dict[str, Any]]:
         """Return ``{key: row}`` for every requested key present in the store."""
+        found: dict[str, dict[str, Any]] = {}
+        for start in range(0, len(keys), _SQLITE_KEY_CHUNK):
+            chunk = list(keys[start : start + _SQLITE_KEY_CHUNK])
+            placeholders = ",".join("?" for _ in chunk)
+            cursor = self._connection.execute(
+                f"SELECT key, row FROM trials WHERE key IN ({placeholders})", chunk
+            )
+            for key, row_text in cursor:
+                found[key] = json.loads(row_text)
+        return found
 
-    @abstractmethod
+    def contains_keys(self, keys: Sequence[str]) -> set[str]:
+        """Return the subset of ``keys`` present in the store.
+
+        The executor uses this for its cache-hit census so that a warm run
+        never has to materialise every cached row at once: it reads the
+        primary-key index only.
+        """
+        present: set[str] = set()
+        for start in range(0, len(keys), _SQLITE_KEY_CHUNK):
+            chunk = list(keys[start : start + _SQLITE_KEY_CHUNK])
+            placeholders = ",".join("?" for _ in chunk)
+            cursor = self._connection.execute(
+                f"SELECT key FROM trials WHERE key IN ({placeholders})", chunk
+            )
+            present.update(key for (key,) in cursor)
+        return present
+
+    def __contains__(self, key: str) -> bool:
+        return bool(self.contains_keys([key]))
+
+    def __len__(self) -> int:
+        (count,) = self._connection.execute("SELECT COUNT(*) FROM trials").fetchone()
+        return int(count)
+
     def put_rows(
         self,
         entries: Sequence[tuple[str, dict[str, Any]]],
@@ -184,8 +270,88 @@ class ResultStore(ABC):
         recorded on each row (tests and importers may backdate it; the
         executor always writes the current revision).
         """
+        now = time.time()
+        records = [
+            (key, engine_version, *_indexed_values(row), now, json.dumps(row, sort_keys=True))
+            for key, row in entries
+        ]
+        columns = ", ".join(_ROW_FIELD)
+        placeholders = ",".join("?" for _ in range(len(_ROW_FIELD) + 4))
+        with self._connection:  # one transaction per call — the unit-commit contract
+            self._connection.executemany(
+                f"INSERT OR REPLACE INTO trials (key, engine_version, {columns}, created_at, row) "
+                f"VALUES ({placeholders})",
+                records,
+            )
+            # A committed row settles its claim in the same transaction, so
+            # concurrent claimants polling for it see claim-gone and
+            # row-present atomically.
+            self._connection.executemany(
+                "DELETE FROM claims WHERE key = ?", [(key,) for key, _ in entries]
+            )
+            if records:
+                self._connection.execute(_BUMP_GENERATION)
+        if records:
+            _STORE_ROWS_WRITTEN.labels(backend=self.backend_name).inc(len(records))
+            _STORE_GENERATION_BUMPS.labels(backend=self.backend_name).inc()
+        return len(records)
 
-    @abstractmethod
+    def put_results(self, pairs: Iterable[tuple[str, TrialResult]]) -> int:
+        """Store ``(key, result)`` pairs as one transactional batch."""
+        return self.put_rows([(key, result.to_row()) for key, result in pairs])
+
+    def delete_keys(self, keys: Sequence[str]) -> int:
+        """Delete the given keys (missing ones ignored); returns rows removed."""
+        deleted = 0
+        with self._connection:
+            for start in range(0, len(keys), _SQLITE_KEY_CHUNK):
+                chunk = list(keys[start : start + _SQLITE_KEY_CHUNK])
+                placeholders = ",".join("?" for _ in chunk)
+                cursor = self._connection.execute(
+                    f"DELETE FROM trials WHERE key IN ({placeholders})", chunk
+                )
+                deleted += cursor.rowcount
+            if deleted:
+                self._connection.execute(_BUMP_GENERATION)
+        if deleted:
+            _STORE_GENERATION_BUMPS.labels(backend=self.backend_name).inc()
+        return deleted
+
+    def generation(self) -> int:
+        """Monotonic content generation: bumped by every mutating commit.
+
+        ``put_rows``, ``delete_keys``, ``gc`` and ``import_jsonl`` advance it
+        transactionally whenever they actually change rows, so two reads of an
+        equal generation bracket an unchanged result set.  This is what turns
+        ETag revalidation into an O(1) lookup — a cached ``(generation,
+        filter) → digest`` entry stays valid exactly until the store mutates —
+        and it lives in the database's ``meta`` table, so it is shared across
+        processes and concurrent writers invalidate each other's caches.
+        Claims do not bump it: they coordinate work, not content.
+        """
+        (value,) = self._connection.execute(
+            "SELECT value FROM meta WHERE name = 'generation'"
+        ).fetchone()
+        return int(value)
+
+    # -- scans ---------------------------------------------------------------
+
+    @staticmethod
+    def _scan_clauses(
+        filters: Mapping[str, Any], after_key: str | None, limit: int | None
+    ) -> tuple[str, str, list[Any]]:
+        conditions = [f"{column} = ?" for column in filters]
+        values: list[Any] = list(filters.values())
+        if after_key is not None:
+            conditions.append("key > ?")
+            values.append(after_key)
+        clause = f" WHERE {' AND '.join(conditions)}" if conditions else ""
+        tail = " ORDER BY key"
+        if limit is not None:
+            tail += " LIMIT ?"
+            values.append(limit)
+        return clause, tail, values
+
     def iter_entries(
         self,
         where: Mapping[str, Any] | None = None,
@@ -198,81 +364,29 @@ class ResultStore(ABC):
         key-ordered scan strictly after that key and ``limit`` caps the yield
         count — together they let a consumer page through a large store in
         bounded slices (the HTTP export stream) without holding a cursor, and
-        without the backend materialising anything beyond the requested page.
+        without materialising anything beyond the requested page.
         """
-
-    @abstractmethod
-    def delete_keys(self, keys: Sequence[str]) -> int:
-        """Delete the given keys (missing ones ignored); returns rows removed."""
-
-    @abstractmethod
-    def generation(self) -> int:
-        """Monotonic content generation: bumped by every mutating commit.
-
-        ``put_rows``, ``delete_keys``, ``gc`` and ``import_jsonl`` advance it
-        transactionally whenever they actually change rows, so two reads of an
-        equal generation bracket an unchanged result set.  This is what turns
-        ETag revalidation into an O(1) lookup — a cached ``(generation,
-        filter) → digest`` entry stays valid exactly until the store mutates —
-        and it is shared across processes (SQLite ``meta`` table / JSONL
-        meta file), so concurrent writers invalidate each other's caches.
-        Claims do not bump it: they coordinate work, not content.
-        """
-
-    @abstractmethod
-    def __len__(self) -> int: ...
+        clause, tail, values = self._scan_clauses(_check_where(where), after_key, limit)
+        cursor = self._connection.execute(
+            f"SELECT key, engine_version, created_at, row FROM trials{clause}{tail}",
+            values,
+        )
+        for key, engine_version, created_at, row_text in cursor:
+            yield StoreEntry(key, engine_version, created_at, json.loads(row_text))
 
     def iter_keys(self, where: Mapping[str, Any] | None = None) -> Iterator[str]:
         """Yield matching content keys in sorted order, rows never deserialised.
 
-        Backends override this with an index-only scan; the ETag digest is
-        computed from it, so revalidation cost is bounded by key count, not
-        row payload size.
+        An index-only scan: the ETag digest is computed from it, so
+        revalidation cost is bounded by key count, not row payload size.
         """
-        for entry in self.iter_entries(where=where):
-            yield entry.key
+        clause, tail, values = self._scan_clauses(_check_where(where), None, None)
+        for (key,) in self._connection.execute(
+            f"SELECT key FROM trials{clause}{tail}", values
+        ):
+            yield key
 
-    def refresh(self) -> None:
-        """Make externally-committed writes visible to this handle.
-
-        SQLite handles see committed state on every statement, so this is a
-        no-op there; the JSONL backend reloads its in-memory index when the
-        on-disk generation has moved.  Long-lived pooled read handles call
-        this before serving.
-        """
-
-    def close(self) -> None:
-        """Release backend resources (idempotent)."""
-
-    # -- shared convenience layer ----------------------------------------------
-
-    def contains_keys(self, keys: Sequence[str]) -> set[str]:
-        """Return the subset of ``keys`` present in the store.
-
-        The executor uses this for its cache-hit census so that a warm run
-        never has to materialise every cached row at once; backends override
-        it with an index-only implementation.
-        """
-        return set(self.get_rows(keys))
-
-    def __contains__(self, key: str) -> bool:
-        return bool(self.contains_keys([key]))
-
-    def __enter__(self) -> "ResultStore":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
-    def put_results(self, pairs: Iterable[tuple[str, TrialResult]]) -> int:
-        """Store ``(key, result)`` pairs as one transactional batch."""
-        return self.put_rows([(key, result.to_row()) for key, result in pairs])
-
-    # -- cross-process claim coordination --------------------------------------
-
-    #: Seconds after which an unreleased claim expires (a crashed claimant
-    #: must not block other processes forever).
-    CLAIM_TTL_SECONDS = 300.0
+    # -- cross-process claim coordination ------------------------------------
 
     def claim_keys(self, keys: Sequence[str], owner: str) -> set[str]:
         """Try to claim ``keys`` for ``owner``; return the granted subset.
@@ -280,21 +394,66 @@ class ResultStore(ABC):
         The executor claims its cache misses before running them so that
         several processes sharing one store split the work instead of
         duplicating it: a denied key means another live owner is computing
-        that trial, and the caller should poll for its committed row.
-        Claims are advisory — they coordinate work, they do not gate writes
-        (commits stay last-write-wins, which keeps crash recovery trivial).
-
-        The base implementation grants everything: single-writer backends
-        (JSONL directories) have no cross-process story, and granting all
-        claims reduces the executor to its ordinary single-process path.
+        that trial (or its row is already committed), and the caller should
+        poll for the committed row.  Claims are advisory — they coordinate
+        work, they do not gate writes (commits stay last-write-wins, which
+        keeps crash recovery trivial).  Claims older than
+        :attr:`CLAIM_TTL_SECONDS` are dropped before granting.
         """
-        _count_claims(granted=len(keys), requested=len(keys))
-        return set(keys)
+        now = time.time()
+        granted: set[str] = set()
+        # BEGIN IMMEDIATE takes the write lock up front: two processes
+        # claiming the same keys serialise here instead of deadlocking on a
+        # shared-to-exclusive lock upgrade mid-transaction.
+        self._connection.execute("BEGIN IMMEDIATE")
+        try:
+            self._connection.execute(
+                "DELETE FROM claims WHERE claimed_at < ?", (now - self.CLAIM_TTL_SECONDS,)
+            )
+            for start in range(0, len(keys), _SQLITE_KEY_CHUNK):
+                chunk = list(keys[start : start + _SQLITE_KEY_CHUNK])
+                markers = ",".join("?" for _ in chunk)
+                committed = {
+                    key
+                    for (key,) in self._connection.execute(
+                        f"SELECT key FROM trials WHERE key IN ({markers})", chunk
+                    )
+                }
+                # Keys already committed are cache hits, not work — deny
+                # them so the caller re-checks the store.
+                candidates = [key for key in chunk if key not in committed]
+                self._connection.executemany(
+                    "INSERT OR IGNORE INTO claims (key, owner, claimed_at) VALUES (?, ?, ?)",
+                    [(key, owner, now) for key in candidates],
+                )
+                granted.update(
+                    key
+                    for (key,) in self._connection.execute(
+                        f"SELECT key FROM claims WHERE owner = ? AND key IN ({markers})",
+                        [owner, *chunk],
+                    )
+                )
+            self._connection.commit()
+        except BaseException:
+            self._connection.rollback()
+            raise
+        _count_claims(granted=len(granted), requested=len(keys))
+        return granted
 
     def release_claims(self, keys: Sequence[str], owner: str) -> int:
         """Drop ``owner``'s claims on ``keys`` (committed rows already drop
-        theirs); returns the number released.  No-op on the base class."""
-        return 0
+        theirs); returns the number released."""
+        released = 0
+        with self._connection:
+            for start in range(0, len(keys), _SQLITE_KEY_CHUNK):
+                chunk = list(keys[start : start + _SQLITE_KEY_CHUNK])
+                markers = ",".join("?" for _ in chunk)
+                cursor = self._connection.execute(
+                    f"DELETE FROM claims WHERE owner = ? AND key IN ({markers})",
+                    [owner, *chunk],
+                )
+                released += cursor.rowcount
+        return released
 
     def list_claims(self) -> list[dict[str, Any]]:
         """Outstanding claims as ``{key, owner, claimed_at, age_seconds, expired}``.
@@ -302,19 +461,34 @@ class ResultStore(ABC):
         Diagnostic surface for stuck concurrent campaigns (``repro store
         claims``): a long-lived *live* claim is a session still computing;
         an *expired* one is a crashed claimant whose keys the next session
-        will re-claim.  Backends without claim coordination have none.
+        will re-claim.
         """
-        return []
+        now = time.time()
+        return [
+            {
+                "key": key,
+                "owner": owner,
+                "claimed_at": claimed_at,
+                "age_seconds": max(0.0, now - claimed_at),
+                "expired": claimed_at < now - self.CLAIM_TTL_SECONDS,
+            }
+            for key, owner, claimed_at in self._connection.execute(
+                "SELECT key, owner, claimed_at FROM claims ORDER BY claimed_at, key"
+            )
+        ]
 
     def claim_stats(self) -> dict[str, int]:
         """Live/expired claim counts (``{"live": n, "expired": n}``)."""
-        live = expired = 0
-        for claim in self.list_claims():
-            if claim["expired"]:
-                expired += 1
-            else:
-                live += 1
-        return {"live": live, "expired": expired}
+        cutoff = time.time() - self.CLAIM_TTL_SECONDS
+        (live,) = self._connection.execute(
+            "SELECT COUNT(*) FROM claims WHERE claimed_at >= ?", (cutoff,)
+        ).fetchone()
+        (expired,) = self._connection.execute(
+            "SELECT COUNT(*) FROM claims WHERE claimed_at < ?", (cutoff,)
+        ).fetchone()
+        return {"live": int(live), "expired": int(expired)}
+
+    # -- maintenance ---------------------------------------------------------
 
     def gc(self, engine_version: str = ENGINE_VERSION, dry_run: bool = False) -> int:
         """Delete (or with ``dry_run`` just count) rows under any other engine salt.
@@ -322,11 +496,23 @@ class ResultStore(ABC):
         Those rows are unreachable by lookup — their keys were derived under
         a salt no current :func:`~repro.store.keys.trial_key` call uses — so
         removing them only reclaims space, never cache hits.
+        ``engine_version`` is an indexed column, so neither the count nor the
+        delete parses a single row.
         """
-        stale = [entry.key for entry in self.iter_entries() if entry.engine_version != engine_version]
         if dry_run:
-            return len(stale)
-        return self.delete_keys(stale)
+            (stale,) = self._connection.execute(
+                "SELECT COUNT(*) FROM trials WHERE engine_version != ?", (engine_version,)
+            ).fetchone()
+            return int(stale)
+        with self._connection:
+            cursor = self._connection.execute(
+                "DELETE FROM trials WHERE engine_version != ?", (engine_version,)
+            )
+            if cursor.rowcount:
+                self._connection.execute(_BUMP_GENERATION)
+        if cursor.rowcount:
+            _STORE_GENERATION_BUMPS.labels(backend=self.backend_name).inc()
+        return cursor.rowcount
 
     def import_jsonl(
         self,
@@ -371,287 +557,11 @@ class ResultStore(ABC):
         return ingested
 
     def stats(self) -> dict[str, Any]:
-        """Aggregate view for the CLI: counts by engine version and status."""
-        by_version: dict[str, int] = {}
-        by_status: dict[str, int] = {}
-        total = 0
-        for entry in self.iter_entries():
-            total += 1
-            by_version[entry.engine_version] = by_version.get(entry.engine_version, 0) + 1
-            status = str(entry.row.get("status"))
-            by_status[status] = by_status.get(status, 0) + 1
-        claims = self.claim_stats()
-        return {
-            "backend": self.backend_name,
-            "path": str(self.path),
-            "trials": total,
-            "current_engine_version": ENGINE_VERSION,
-            "stale_trials": total - by_version.get(ENGINE_VERSION, 0),
-            "engine_versions": dict(sorted(by_version.items())),
-            "statuses": dict(sorted(by_status.items())),
-            "claims_live": claims["live"],
-            "claims_expired": claims["expired"],
-        }
+        """Aggregate view for the CLI: counts by engine version and status.
 
-
-def _indexed_values(row: Mapping[str, Any]) -> tuple[Any, ...]:
-    return tuple(row.get(_ROW_FIELD[column]) for column in _ROW_FIELD)
-
-
-_SQLITE_SCHEMA = f"""
-CREATE TABLE IF NOT EXISTS trials (
-    key TEXT PRIMARY KEY,
-    engine_version TEXT NOT NULL,
-    {", ".join(f"{column} {'INTEGER' if column in ('process_count', 'dimension', 'fault_bound') else 'TEXT'}" for column in _ROW_FIELD)},
-    created_at REAL NOT NULL,
-    row TEXT NOT NULL
-);
-CREATE INDEX IF NOT EXISTS idx_trials_shape
-    ON trials (protocol, dimension, fault_bound, adversary);
-CREATE INDEX IF NOT EXISTS idx_trials_version ON trials (engine_version);
-CREATE TABLE IF NOT EXISTS claims (
-    key TEXT PRIMARY KEY,
-    owner TEXT NOT NULL,
-    claimed_at REAL NOT NULL
-);
-CREATE TABLE IF NOT EXISTS meta (
-    name TEXT PRIMARY KEY,
-    value INTEGER NOT NULL
-);
-INSERT OR IGNORE INTO meta (name, value) VALUES ('generation', 0);
-"""
-
-_BUMP_GENERATION = "UPDATE meta SET value = value + 1 WHERE name = 'generation'"
-
-# SQLite caps bound parameters per statement; stay well under the historic
-# 999 default.
-_SQLITE_KEY_CHUNK = 500
-
-
-class SqliteResultStore(ResultStore):
-    """Single-file SQLite warehouse with indexed shape columns."""
-
-    backend_name = "sqlite"
-
-    def __init__(self, path: str | Path, check_same_thread: bool = True) -> None:
-        # ``check_same_thread=False`` is for pooled handles whose owner
-        # guarantees one-thread-at-a-time use but closes them from a
-        # different thread at shutdown (the serving layer's per-thread pool).
-        super().__init__(path)
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        try:
-            self._connection = sqlite3.connect(
-                str(self.path), check_same_thread=check_same_thread
-            )
-        except sqlite3.Error as error:  # e.g. the path is a directory
-            raise ConfigurationError(
-                f"{self.path} is not a usable SQLite result store: {error}"
-            ) from error
-        try:
-            # Concurrent campaigns over one store serialise their claim and
-            # commit transactions; wait for the lock instead of failing.
-            self._connection.execute("PRAGMA busy_timeout = 30000")
-            self._connection.executescript(_SQLITE_SCHEMA)
-            self._connection.commit()
-        except sqlite3.DatabaseError as error:
-            self._connection.close()
-            raise ConfigurationError(
-                f"{self.path} is not a usable SQLite result store: {error}"
-            ) from error
-
-    def get_rows(self, keys: Sequence[str]) -> dict[str, dict[str, Any]]:
-        found: dict[str, dict[str, Any]] = {}
-        for start in range(0, len(keys), _SQLITE_KEY_CHUNK):
-            chunk = list(keys[start : start + _SQLITE_KEY_CHUNK])
-            placeholders = ",".join("?" for _ in chunk)
-            cursor = self._connection.execute(
-                f"SELECT key, row FROM trials WHERE key IN ({placeholders})", chunk
-            )
-            for key, row_text in cursor:
-                found[key] = json.loads(row_text)
-        return found
-
-    def contains_keys(self, keys: Sequence[str]) -> set[str]:
-        present: set[str] = set()
-        for start in range(0, len(keys), _SQLITE_KEY_CHUNK):
-            chunk = list(keys[start : start + _SQLITE_KEY_CHUNK])
-            placeholders = ",".join("?" for _ in chunk)
-            cursor = self._connection.execute(
-                f"SELECT key FROM trials WHERE key IN ({placeholders})", chunk
-            )
-            present.update(key for (key,) in cursor)
-        return present
-
-    def put_rows(
-        self,
-        entries: Sequence[tuple[str, dict[str, Any]]],
-        engine_version: str = ENGINE_VERSION,
-    ) -> int:
-        now = time.time()
-        records = [
-            (key, engine_version, *_indexed_values(row), now, json.dumps(row, sort_keys=True))
-            for key, row in entries
-        ]
-        columns = ", ".join(_ROW_FIELD)
-        placeholders = ",".join("?" for _ in range(len(_ROW_FIELD) + 4))
-        with self._connection:  # one transaction per call — the unit-commit contract
-            self._connection.executemany(
-                f"INSERT OR REPLACE INTO trials (key, engine_version, {columns}, created_at, row) "
-                f"VALUES ({placeholders})",
-                records,
-            )
-            # A committed row settles its claim in the same transaction, so
-            # concurrent claimants polling for it see claim-gone and
-            # row-present atomically.
-            self._connection.executemany(
-                "DELETE FROM claims WHERE key = ?", [(key,) for key, _ in entries]
-            )
-            if records:
-                self._connection.execute(_BUMP_GENERATION)
-        if records:
-            _STORE_ROWS_WRITTEN.labels(backend=self.backend_name).inc(len(records))
-            _STORE_GENERATION_BUMPS.labels(backend=self.backend_name).inc()
-        return len(records)
-
-    def claim_keys(self, keys: Sequence[str], owner: str) -> set[str]:
-        now = time.time()
-        granted: set[str] = set()
-        # BEGIN IMMEDIATE takes the write lock up front: two processes
-        # claiming the same keys serialise here instead of deadlocking on a
-        # shared-to-exclusive lock upgrade mid-transaction.
-        self._connection.execute("BEGIN IMMEDIATE")
-        try:
-            self._connection.execute(
-                "DELETE FROM claims WHERE claimed_at < ?", (now - self.CLAIM_TTL_SECONDS,)
-            )
-            for start in range(0, len(keys), _SQLITE_KEY_CHUNK):
-                chunk = list(keys[start : start + _SQLITE_KEY_CHUNK])
-                markers = ",".join("?" for _ in chunk)
-                committed = {
-                    key
-                    for (key,) in self._connection.execute(
-                        f"SELECT key FROM trials WHERE key IN ({markers})", chunk
-                    )
-                }
-                # Keys already committed are cache hits, not work — deny
-                # them so the caller re-checks the store.
-                candidates = [key for key in chunk if key not in committed]
-                self._connection.executemany(
-                    "INSERT OR IGNORE INTO claims (key, owner, claimed_at) VALUES (?, ?, ?)",
-                    [(key, owner, now) for key in candidates],
-                )
-                granted.update(
-                    key
-                    for (key,) in self._connection.execute(
-                        f"SELECT key FROM claims WHERE owner = ? AND key IN ({markers})",
-                        [owner, *chunk],
-                    )
-                )
-            self._connection.commit()
-        except BaseException:
-            self._connection.rollback()
-            raise
-        _count_claims(granted=len(granted), requested=len(keys))
-        return granted
-
-    def release_claims(self, keys: Sequence[str], owner: str) -> int:
-        released = 0
-        with self._connection:
-            for start in range(0, len(keys), _SQLITE_KEY_CHUNK):
-                chunk = list(keys[start : start + _SQLITE_KEY_CHUNK])
-                markers = ",".join("?" for _ in chunk)
-                cursor = self._connection.execute(
-                    f"DELETE FROM claims WHERE owner = ? AND key IN ({markers})",
-                    [owner, *chunk],
-                )
-                released += cursor.rowcount
-        return released
-
-    @staticmethod
-    def _scan_clauses(
-        filters: Mapping[str, Any], after_key: str | None, limit: int | None
-    ) -> tuple[str, str, list[Any]]:
-        conditions = [f"{column} = ?" for column in filters]
-        values: list[Any] = list(filters.values())
-        if after_key is not None:
-            conditions.append("key > ?")
-            values.append(after_key)
-        clause = f" WHERE {' AND '.join(conditions)}" if conditions else ""
-        tail = " ORDER BY key"
-        if limit is not None:
-            tail += " LIMIT ?"
-            values.append(limit)
-        return clause, tail, values
-
-    def iter_entries(
-        self,
-        where: Mapping[str, Any] | None = None,
-        after_key: str | None = None,
-        limit: int | None = None,
-    ) -> Iterator[StoreEntry]:
-        clause, tail, values = self._scan_clauses(_check_where(where), after_key, limit)
-        cursor = self._connection.execute(
-            f"SELECT key, engine_version, created_at, row FROM trials{clause}{tail}",
-            values,
-        )
-        for key, engine_version, created_at, row_text in cursor:
-            yield StoreEntry(key, engine_version, created_at, json.loads(row_text))
-
-    def iter_keys(self, where: Mapping[str, Any] | None = None) -> Iterator[str]:
-        # Index-only scan: the ETag digest never touches the row TEXT column.
-        clause, tail, values = self._scan_clauses(_check_where(where), None, None)
-        for (key,) in self._connection.execute(
-            f"SELECT key FROM trials{clause}{tail}", values
-        ):
-            yield key
-
-    def generation(self) -> int:
-        (value,) = self._connection.execute(
-            "SELECT value FROM meta WHERE name = 'generation'"
-        ).fetchone()
-        return int(value)
-
-    def delete_keys(self, keys: Sequence[str]) -> int:
-        deleted = 0
-        with self._connection:
-            for start in range(0, len(keys), _SQLITE_KEY_CHUNK):
-                chunk = list(keys[start : start + _SQLITE_KEY_CHUNK])
-                placeholders = ",".join("?" for _ in chunk)
-                cursor = self._connection.execute(
-                    f"DELETE FROM trials WHERE key IN ({placeholders})", chunk
-                )
-                deleted += cursor.rowcount
-            if deleted:
-                self._connection.execute(_BUMP_GENERATION)
-        if deleted:
-            _STORE_GENERATION_BUMPS.labels(backend=self.backend_name).inc()
-        return deleted
-
-    def __len__(self) -> int:
-        (count,) = self._connection.execute("SELECT COUNT(*) FROM trials").fetchone()
-        return int(count)
-
-    def gc(self, engine_version: str = ENGINE_VERSION, dry_run: bool = False) -> int:
-        # SQL fast path: engine_version is an indexed column, so neither the
-        # count nor the delete needs to parse a single row.
-        if dry_run:
-            (stale,) = self._connection.execute(
-                "SELECT COUNT(*) FROM trials WHERE engine_version != ?", (engine_version,)
-            ).fetchone()
-            return int(stale)
-        with self._connection:
-            cursor = self._connection.execute(
-                "DELETE FROM trials WHERE engine_version != ?", (engine_version,)
-            )
-            if cursor.rowcount:
-                self._connection.execute(_BUMP_GENERATION)
-        if cursor.rowcount:
-            _STORE_GENERATION_BUMPS.labels(backend=self.backend_name).inc()
-        return cursor.rowcount
-
-    def stats(self) -> dict[str, Any]:
-        # SQL fast path over the indexed columns (same shape as the base
-        # implementation, without deserialising any row).
+        Computed in SQL over the indexed columns, without deserialising any
+        row.
+        """
         by_version = {
             version: int(count)
             for version, count in self._connection.execute(
@@ -678,244 +588,3 @@ class SqliteResultStore(ResultStore):
             "claims_live": claims["live"],
             "claims_expired": claims["expired"],
         }
-
-    def list_claims(self) -> list[dict[str, Any]]:
-        now = time.time()
-        return [
-            {
-                "key": key,
-                "owner": owner,
-                "claimed_at": claimed_at,
-                "age_seconds": max(0.0, now - claimed_at),
-                "expired": claimed_at < now - self.CLAIM_TTL_SECONDS,
-            }
-            for key, owner, claimed_at in self._connection.execute(
-                "SELECT key, owner, claimed_at FROM claims ORDER BY claimed_at, key"
-            )
-        ]
-
-    def claim_stats(self) -> dict[str, int]:
-        cutoff = time.time() - self.CLAIM_TTL_SECONDS
-        (live,) = self._connection.execute(
-            "SELECT COUNT(*) FROM claims WHERE claimed_at >= ?", (cutoff,)
-        ).fetchone()
-        (expired,) = self._connection.execute(
-            "SELECT COUNT(*) FROM claims WHERE claimed_at < ?", (cutoff,)
-        ).fetchone()
-        return {"live": int(live), "expired": int(expired)}
-
-    def close(self) -> None:
-        self._connection.close()
-
-
-class JsonlDirectoryStore(ResultStore):
-    """Directory of append-only JSONL shards, indexed in memory.
-
-    Layout: ``<dir>/<key[:2]>.jsonl``, one JSON object per line carrying the
-    key, the stamps and the row.  Appends flush per ``put_rows`` call;
-    duplicate keys resolve last-write-wins at load time.  Durability is
-    weaker than SQLite's: a ``put_rows`` spanning several shards is not
-    atomic across them, and an interrupted append can tear the final line
-    of one shard (skipped and counted on load) — safe only because trials
-    are individually keyed and idempotently re-put on resume, never because
-    a unit is assumed whole-or-absent.
-    """
-
-    backend_name = "jsonl"
-
-    #: Generation counter file (``.json`` suffix keeps it out of the
-    #: ``*.jsonl`` shard glob).
-    _META_NAME = "_meta.json"
-
-    def __init__(self, path: str | Path) -> None:
-        super().__init__(path)
-        if self.path.exists() and not self.path.is_dir():
-            raise ConfigurationError(
-                f"{self.path} exists and is not a directory; "
-                "the jsonl backend stores shards under a directory"
-            )
-        self.path.mkdir(parents=True, exist_ok=True)
-        #: Lines that failed to parse during load (torn trailing appends).
-        self.corrupt_lines = 0
-        self._entries: dict[str, StoreEntry] = {}
-        self._generation = self._disk_generation()
-        self._load()
-
-    def _load(self) -> None:
-        self._entries.clear()
-        for shard in sorted(self.path.glob("*.jsonl")):
-            with shard.open("r", encoding="utf-8") as handle:
-                for line in handle:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        record = json.loads(line)
-                        entry = StoreEntry(
-                            key=record["key"],
-                            engine_version=record["engine_version"],
-                            created_at=float(record["created_at"]),
-                            row=record["row"],
-                        )
-                    except (json.JSONDecodeError, KeyError, TypeError, ValueError):
-                        self.corrupt_lines += 1
-                        continue
-                    self._entries[entry.key] = entry
-
-    def _disk_generation(self) -> int:
-        meta = self.path / self._META_NAME
-        try:
-            return int(json.loads(meta.read_text(encoding="utf-8"))["generation"])
-        except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError):
-            return 0
-
-    def _bump_generation(self) -> None:
-        _STORE_GENERATION_BUMPS.labels(backend=self.backend_name).inc()
-        self._generation = self._disk_generation() + 1
-        meta = self.path / self._META_NAME
-        replacement = meta.with_suffix(".json.tmp")
-        replacement.write_text(
-            json.dumps({"generation": self._generation}), encoding="utf-8"
-        )
-        os.replace(replacement, meta)
-
-    def generation(self) -> int:
-        return self._generation
-
-    def refresh(self) -> None:
-        # Another handle (same or different process) committed: reload the
-        # in-memory index.  Handles that only ever write through themselves
-        # never reload — their index is already current.
-        disk = self._disk_generation()
-        if disk != self._generation:
-            self._generation = disk
-            self._load()
-
-    def _shard(self, key: str) -> Path:
-        return self.path / f"{key[:2]}.jsonl"
-
-    @staticmethod
-    def _shard_line(entry: StoreEntry) -> str:
-        """The single on-disk record shape (shared by append and rewrite)."""
-        return json.dumps(
-            {
-                "key": entry.key,
-                "engine_version": entry.engine_version,
-                "created_at": entry.created_at,
-                "row": entry.row,
-            },
-            sort_keys=True,
-        )
-
-    def get_rows(self, keys: Sequence[str]) -> dict[str, dict[str, Any]]:
-        return {key: self._entries[key].row for key in keys if key in self._entries}
-
-    def contains_keys(self, keys: Sequence[str]) -> set[str]:
-        return {key for key in keys if key in self._entries}
-
-    def put_rows(
-        self,
-        entries: Sequence[tuple[str, dict[str, Any]]],
-        engine_version: str = ENGINE_VERSION,
-    ) -> int:
-        now = time.time()
-        by_shard: dict[Path, list[StoreEntry]] = {}
-        for key, row in entries:
-            entry = StoreEntry(key=key, engine_version=engine_version, created_at=now, row=row)
-            by_shard.setdefault(self._shard(key), []).append(entry)
-        for shard, shard_entries in sorted(by_shard.items()):
-            with shard.open("a", encoding="utf-8") as handle:
-                for entry in shard_entries:
-                    handle.write(self._shard_line(entry) + "\n")
-                handle.flush()
-        for _, shard_entries in sorted(by_shard.items()):
-            for entry in shard_entries:
-                self._entries[entry.key] = entry
-        if entries:
-            _STORE_ROWS_WRITTEN.labels(backend=self.backend_name).inc(len(entries))
-            self._bump_generation()
-        return len(entries)
-
-    def iter_entries(
-        self,
-        where: Mapping[str, Any] | None = None,
-        after_key: str | None = None,
-        limit: int | None = None,
-    ) -> Iterator[StoreEntry]:
-        filters = _check_where(where)
-        yielded = 0
-        for key in sorted(self._entries):
-            if after_key is not None and key <= after_key:
-                continue
-            if limit is not None and yielded >= limit:
-                return
-            entry = self._entries[key]
-            matches = True
-            for column, wanted in filters.items():
-                actual = (
-                    entry.engine_version
-                    if column == "engine_version"
-                    else entry.row.get(_ROW_FIELD[column])
-                )
-                if actual != wanted:
-                    matches = False
-                    break
-            if matches:
-                yielded += 1
-                yield entry
-
-    def delete_keys(self, keys: Sequence[str]) -> int:
-        doomed = [key for key in keys if key in self._entries]
-        for key in doomed:
-            del self._entries[key]
-        # Rewrite each affected shard atomically (write-new + rename) from the
-        # surviving in-memory entries, bucketed in one pass over the index.
-        affected = {key[:2] for key in doomed}
-        survivors_by_prefix: dict[str, list[StoreEntry]] = {prefix: [] for prefix in affected}
-        for key in sorted(self._entries):
-            if key[:2] in affected:
-                survivors_by_prefix[key[:2]].append(self._entries[key])
-        for prefix in sorted(affected):
-            shard = self.path / f"{prefix}.jsonl"
-            survivors = survivors_by_prefix[prefix]
-            replacement = shard.with_suffix(".jsonl.tmp")
-            with replacement.open("w", encoding="utf-8") as handle:
-                for entry in survivors:
-                    handle.write(self._shard_line(entry) + "\n")
-            if survivors:
-                os.replace(replacement, shard)
-            else:
-                replacement.unlink()
-                shard.unlink(missing_ok=True)
-        if doomed:
-            self._bump_generation()
-        return len(doomed)
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-
-def open_store(
-    path: str | Path, backend: str = "auto", check_same_thread: bool = True
-) -> ResultStore:
-    """Open (creating if needed) a result store at ``path``.
-
-    ``backend="auto"`` resolves from the path: an existing directory — or a
-    fresh path with no suffix — becomes a JSONL directory store; anything
-    else (``.db``, ``.sqlite``, any file) opens as SQLite.
-    ``check_same_thread=False`` relaxes SQLite's thread pinning for pooled
-    handles (see :class:`SqliteResultStore`); the JSONL backend ignores it.
-    """
-    if backend not in BACKEND_CHOICES:
-        raise ConfigurationError(
-            f"unknown store backend {backend!r}; known: {', '.join(BACKEND_CHOICES)}"
-        )
-    path = Path(path)
-    if backend == "auto":
-        if path.is_dir() or (not path.exists() and path.suffix == ""):
-            backend = "jsonl"
-        else:
-            backend = "sqlite"
-    if backend == "jsonl":
-        return JsonlDirectoryStore(path)
-    return SqliteResultStore(path, check_same_thread=check_same_thread)

@@ -20,7 +20,7 @@ that address as a SHA-256 over the *canonical* spec payload:
 * the payload is salted with :data:`ENGINE_VERSION`.  Rows written by an
   older engine revision are thereby *unreachable* (a lookup under the new
   salt can never return them) rather than silently wrong —
-  ``ResultStore.gc`` reclaims the dead space.
+  ``SqliteResultStore.gc`` reclaims the dead space.
 
 **Bump discipline:** any change that alters what a spec executes to — a
 protocol fix, a seed-derivation change, an adversary behaviour change, a new

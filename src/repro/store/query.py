@@ -8,10 +8,9 @@ per-group outcome counters — the same counters a live
 :class:`~repro.engine.executor.CampaignSummary` reports.
 
 Filters on shape columns (:data:`~repro.store.backend.INDEXED_COLUMNS`) are
-pushed down to the backend — SQL ``WHERE`` clauses on the SQLite store, an
-index scan on the JSONL store — so only matching rows are ever parsed.
-Results are ordered by content key, which makes every query deterministic
-for a given store state regardless of insertion order or backend.
+pushed down to the store as SQL ``WHERE`` clauses, so only matching rows are
+ever parsed.  Results are ordered by content key, which makes every query
+deterministic for a given store state regardless of insertion order.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ from typing import Any, Iterator, Sequence
 
 from repro.engine.spec import TrialResult
 from repro.exceptions import ConfigurationError
-from repro.store.backend import ResultStore, StoreEntry
+from repro.store.backend import SqliteResultStore, StoreEntry
 from repro.store.keys import ENGINE_VERSION
 
 __all__ = ["AGGREGATE_COLUMNS", "StoredTrial", "TrialFilter", "query_store", "aggregate_store"]
@@ -53,7 +52,7 @@ class TrialFilter:
     status: str | None = None
 
     def to_where(self) -> dict[str, Any]:
-        """The backend-pushable ``where`` mapping (set fields only)."""
+        """The ``where`` mapping pushed down to the store (set fields only)."""
         return {
             filter_field.name: getattr(self, filter_field.name)
             for filter_field in fields(self)
@@ -95,20 +94,20 @@ class StoredTrial:
 
 
 def _matching_entries(
-    store: ResultStore, trial_filter: TrialFilter | None, limit: int | None = None
+    store: SqliteResultStore, trial_filter: TrialFilter | None, limit: int | None = None
 ) -> Iterator[StoreEntry]:
     where = trial_filter.to_where() if trial_filter is not None else {}
     return store.iter_entries(where=where or None, limit=limit)
 
 
 def query_store(
-    store: ResultStore,
+    store: SqliteResultStore,
     trial_filter: TrialFilter | None = None,
     limit: int | None = None,
 ) -> list[StoredTrial]:
     """Return matching trials as typed rows, ordered by content key.
 
-    ``limit`` is pushed down to the backend (SQL ``LIMIT`` on SQLite), so a
+    ``limit`` is pushed down to the store as SQL ``LIMIT``, so a
     limited query over a large store never scans past its answer.
     """
     if limit is not None and limit < 0:
@@ -129,7 +128,7 @@ def query_store(
 
 
 def aggregate_store(
-    store: ResultStore,
+    store: SqliteResultStore,
     group_by: Sequence[str] = ("protocol", "adversary"),
     trial_filter: TrialFilter | None = None,
 ) -> list[dict[str, Any]]:

@@ -127,9 +127,9 @@ class TestProtocolExperiments:
         finally:
             assert experiments.set_result_store(previous) == store_path
         assert cold == warm
-        from repro.store import open_store
+        from repro.store import SqliteResultStore
 
-        with open_store(store_path) as store:
+        with SqliteResultStore(store_path) as store:
             assert len(store) == 1
 
     def test_e16_adversary_coordination(self):

@@ -473,3 +473,22 @@ class TestCalculatorResolveMulti:
         assert calculator.resolve_multi([]) == []
         with pytest.raises(GeometryError):
             calculator.resolve_multi([np.zeros((4, 1)), np.zeros((4, 2))])
+
+
+class TestNonFiniteClouds:
+    """Every kernel entry point rejects NaN/inf coordinates with GeometryError,
+    as SafeAreaCalculator does, instead of leaking scipy's linprog ValueError."""
+
+    ENTRY_POINTS = {
+        "point": lambda kernel, cloud: kernel.point(cloud, 1),
+        "points_multi": lambda kernel, cloud: kernel.points_multi([cloud], 1),
+        "points_batch": lambda kernel, cloud: kernel.points_batch([cloud], 1),
+    }
+
+    @pytest.mark.parametrize("bad_value", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+    @pytest.mark.parametrize("entry_point", sorted(ENTRY_POINTS))
+    def test_rejected_with_geometry_error(self, entry_point, bad_value):
+        cloud = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [0.5, 0.5]])
+        cloud[4, 0] = bad_value
+        with pytest.raises(GeometryError, match="non-finite"):
+            self.ENTRY_POINTS[entry_point](GammaKernel(), cloud)

@@ -626,6 +626,23 @@ class TestHttpServer:
         finally:
             _release_ghost(store_path, ghost_keys)
 
+    def test_submission_with_a_pool_field_is_accepted(self, tmp_path):
+        # Multi-worker runs always use the persistent pool; a "pool" field
+        # left in a submission is ignored like any other unknown field.
+        declaration = _declaration(2, name="legacy-pool-field")
+        with _serving(tmp_path / "store.db") as server:
+            status, _, accepted = _get_json_from_post(
+                server.url("/campaigns"), {"campaign": declaration, "pool": "spawn"}
+            )
+            assert status == 202
+            deadline = time.monotonic() + 60
+            _, _, snapshot = _get_json(server.url(accepted["status_url"]))
+            while snapshot["state"] not in ("finished", "failed") and time.monotonic() < deadline:
+                time.sleep(0.05)
+                _, _, snapshot = _get_json(server.url(accepted["status_url"]))
+            assert snapshot["state"] == "finished" and snapshot["emitted"] == 2
+            assert "pool" not in snapshot
+
     def test_error_statuses_are_json(self, tmp_path):
         with _serving(tmp_path / "store.db") as server:
             status, _, payload = _get_json(server.url("/campaigns/nope"))

@@ -1,28 +1,31 @@
-"""Unit tests for repro.store.backend: both ResultStore implementations."""
+"""Unit tests for repro.store.backend: the SQLite result store, through both
+the default handle and the cross-thread handle the serving layer pools."""
 
 from __future__ import annotations
 
 import json
+import re
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from repro.engine import TrialResult, TrialSpec, run_trial
+from repro.engine import Campaign, TrialResult, TrialSpec, run_campaign, run_trial
 from repro.exceptions import ConfigurationError
-from repro.store import (
-    ENGINE_VERSION,
-    JsonlDirectoryStore,
-    SqliteResultStore,
-    open_store,
-    trial_key,
-)
-
-BACKENDS = ("sqlite", "jsonl")
+from repro.store import ENGINE_VERSION, SqliteResultStore, trial_key
 
 
-def _make_store(backend: str, tmp_path):
-    if backend == "sqlite":
-        return SqliteResultStore(tmp_path / "store.db")
-    return JsonlDirectoryStore(tmp_path / "store-dir")
+HANDLES = ("sqlite", "pooled")
+
+
+def _make_store(handle: str, tmp_path):
+    path = tmp_path / "store.db"
+    if handle == "sqlite":
+        return SqliteResultStore(path)
+    # The serving layer's pooled read handles are opened with
+    # check_same_thread=False and closed from the shutdown thread; opening
+    # this one on a helper thread makes every call below cross threads too.
+    with ThreadPoolExecutor(max_workers=1) as opener:
+        return opener.submit(SqliteResultStore, path, check_same_thread=False).result()
 
 
 def _result(seed: int = 1, process_count: int = 5) -> TrialResult:
@@ -33,10 +36,10 @@ def _result(seed: int = 1, process_count: int = 5) -> TrialResult:
     return run_trial(spec)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("handle", HANDLES)
 class TestResultStoreContract:
-    def test_put_get_roundtrip_and_contains(self, backend, tmp_path):
-        store = _make_store(backend, tmp_path)
+    def test_put_get_roundtrip_and_contains(self, handle, tmp_path):
+        store = _make_store(handle, tmp_path)
         result = _result(seed=1)
         key = trial_key(result.spec)
         assert key not in store
@@ -46,8 +49,8 @@ class TestResultStoreContract:
         assert store.get_rows([key]) == {key: result.to_row()}
         assert store.get_rows(["0" * 64]) == {}
 
-    def test_error_rows_store_like_any_other(self, backend, tmp_path):
-        store = _make_store(backend, tmp_path)
+    def test_error_rows_store_like_any_other(self, handle, tmp_path):
+        store = _make_store(handle, tmp_path)
         error_result = _result(seed=2, process_count=3)
         assert error_result.status == "error"
         key = trial_key(error_result.spec)
@@ -56,41 +59,41 @@ class TestResultStoreContract:
         assert entry.row["status"] == "error"
         assert entry.result().to_row() == error_result.to_row()
 
-    def test_last_write_wins(self, backend, tmp_path):
-        store = _make_store(backend, tmp_path)
+    def test_last_write_wins(self, handle, tmp_path):
+        store = _make_store(handle, tmp_path)
         result = _result(seed=3)
         key = trial_key(result.spec)
         store.put_results([(key, result)])
         store.put_results([(key, result)])
         assert len(store) == 1
 
-    def test_persistence_across_reopen(self, backend, tmp_path):
-        store = _make_store(backend, tmp_path)
+    def test_persistence_across_reopen(self, handle, tmp_path):
+        store = _make_store(handle, tmp_path)
         results = [_result(seed=seed, process_count=3) for seed in range(5)]
         store.put_results([(trial_key(result.spec), result) for result in results])
         store.close()
-        reopened = _make_store(backend, tmp_path)
+        reopened = _make_store(handle, tmp_path)
         assert len(reopened) == 5
         for result in results:
             assert trial_key(result.spec) in reopened
         reopened.close()
 
-    def test_delete_keys_and_len(self, backend, tmp_path):
-        store = _make_store(backend, tmp_path)
+    def test_delete_keys_and_len(self, handle, tmp_path):
+        store = _make_store(handle, tmp_path)
         results = [_result(seed=seed, process_count=3) for seed in range(4)]
         keys = [trial_key(result.spec) for result in results]
         store.put_results(zip(keys, results))
         assert store.delete_keys(keys[:2] + ["0" * 64]) == 2
         assert len(store) == 2
-        # Deletion survives reopen (the jsonl backend must rewrite shards).
+        # Deletion survives reopen.
         store.close()
-        reopened = _make_store(backend, tmp_path)
+        reopened = _make_store(handle, tmp_path)
         assert len(reopened) == 2
         assert keys[0] not in reopened and keys[2] in reopened
         reopened.close()
 
-    def test_gc_deletes_only_stale_engine_versions(self, backend, tmp_path):
-        store = _make_store(backend, tmp_path)
+    def test_gc_deletes_only_stale_engine_versions(self, handle, tmp_path):
+        store = _make_store(handle, tmp_path)
         fresh = _result(seed=10, process_count=3)
         stale = _result(seed=11, process_count=3)
         store.put_rows([(trial_key(fresh.spec), fresh.to_row())])
@@ -106,8 +109,8 @@ class TestResultStoreContract:
         (entry,) = list(store.iter_entries())
         assert entry.engine_version == ENGINE_VERSION
 
-    def test_iter_entries_sorted_and_filterable(self, backend, tmp_path):
-        store = _make_store(backend, tmp_path)
+    def test_iter_entries_sorted_and_filterable(self, handle, tmp_path):
+        store = _make_store(handle, tmp_path)
         ok_result = _result(seed=5)
         error_result = _result(seed=6, process_count=3)
         store.put_results([
@@ -123,23 +126,23 @@ class TestResultStoreContract:
         with pytest.raises(ConfigurationError, match="unfilterable"):
             list(store.iter_entries(where={"bogus": 1}))
 
-    def test_import_jsonl_rederives_keys(self, backend, tmp_path):
+    def test_import_jsonl_rederives_keys(self, handle, tmp_path):
         results = [_result(seed=seed, process_count=3) for seed in range(3)]
         jsonl = tmp_path / "campaign.jsonl"
         jsonl.write_text("".join(result.to_json() + "\n" for result in results))
-        store = _make_store(backend, tmp_path)
+        store = _make_store(handle, tmp_path)
         assert store.import_jsonl(jsonl) == 3
         for result in results:
             assert trial_key(result.spec) in store
 
-    def test_import_rejects_malformed_rows(self, backend, tmp_path):
+    def test_import_rejects_malformed_rows(self, handle, tmp_path):
         jsonl = tmp_path / "bad.jsonl"
         jsonl.write_text(json.dumps({"status": "ok", "bogus_field": 1}) + "\n")
-        store = _make_store(backend, tmp_path)
+        store = _make_store(handle, tmp_path)
         with pytest.raises(ConfigurationError, match="bad.jsonl: row 1"):
             store.import_jsonl(jsonl)
 
-    def test_import_commits_nothing_when_a_later_row_is_malformed(self, backend, tmp_path):
+    def test_import_commits_nothing_when_a_later_row_is_malformed(self, handle, tmp_path):
         # Validation runs over the whole file before the first commit, so a
         # bad row 4 must not leave rows 1-3 servable in the store.
         results = [_result(seed=seed, process_count=3) for seed in range(3)]
@@ -148,18 +151,18 @@ class TestResultStoreContract:
             "".join(result.to_json() + "\n" for result in results)
             + json.dumps({"status": "ok", "bogus_field": 1}) + "\n"
         )
-        store = _make_store(backend, tmp_path)
+        store = _make_store(handle, tmp_path)
         with pytest.raises(ConfigurationError, match="row 4"):
             store.import_jsonl(jsonl, batch_size=2)  # batches smaller than the file
         assert len(store) == 0
 
-    def test_import_under_old_engine_version_stays_unreachable(self, backend, tmp_path):
+    def test_import_under_old_engine_version_stays_unreachable(self, handle, tmp_path):
         # An old export imported under its true provenance must not become a
         # cache hit for current-salt lookups — it lands stale and gc'able.
         result = _result(seed=4, process_count=3)
         jsonl = tmp_path / "old.jsonl"
         jsonl.write_text(result.to_json() + "\n")
-        store = _make_store(backend, tmp_path)
+        store = _make_store(handle, tmp_path)
         assert store.import_jsonl(jsonl, engine_version="0.0.1/rows0") == 1
         assert trial_key(result.spec) not in store  # current salt cannot reach it
         assert trial_key(result.spec, engine_version="0.0.1/rows0") in store
@@ -167,14 +170,14 @@ class TestResultStoreContract:
         assert store.gc() == 1
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("handle", HANDLES)
 class TestGenerationCounter:
     """The serving layer's cache-invalidation contract: the generation moves
     exactly when stored content changes (rows added/deleted), never on
     no-ops, and is visible across handles and reopens."""
 
-    def test_bumps_only_when_rows_actually_change(self, backend, tmp_path):
-        store = _make_store(backend, tmp_path)
+    def test_bumps_only_when_rows_actually_change(self, handle, tmp_path):
+        store = _make_store(handle, tmp_path)
         start = store.generation()
         assert store.put_rows([]) == 0
         assert store.generation() == start  # empty commit: no bump
@@ -189,8 +192,8 @@ class TestGenerationCounter:
         assert store.delete_keys([trial_key(result.spec)]) == 1
         assert store.generation() > after_put
 
-    def test_import_and_gc_bump_like_any_write(self, backend, tmp_path):
-        store = _make_store(backend, tmp_path)
+    def test_import_and_gc_bump_like_any_write(self, handle, tmp_path):
+        store = _make_store(handle, tmp_path)
         result = _result(seed=21, process_count=3)
         jsonl = tmp_path / "import.jsonl"
         jsonl.write_text(result.to_json() + "\n")
@@ -203,34 +206,33 @@ class TestGenerationCounter:
         assert store.gc() == 1
         assert store.generation() > imported
 
-    def test_survives_reopen(self, backend, tmp_path):
-        store = _make_store(backend, tmp_path)
+    def test_survives_reopen(self, handle, tmp_path):
+        store = _make_store(handle, tmp_path)
         result = _result(seed=22, process_count=3)
         store.put_rows([(trial_key(result.spec), result.to_row())])
         committed = store.generation()
         assert committed > 0
         store.close()
-        reopened = _make_store(backend, tmp_path)
+        reopened = _make_store(handle, tmp_path)
         assert reopened.generation() == committed
         reopened.close()
 
-    def test_refresh_sees_external_commits(self, backend, tmp_path):
-        """Two handles on one store: a commit through one becomes visible to
-        the other after refresh() — the pooled-read-handle contract."""
-        reader = _make_store(backend, tmp_path)
-        writer = _make_store(backend, tmp_path)
+    def test_second_handle_sees_external_commits(self, handle, tmp_path):
+        """Two handles on one store: a commit through one is visible to the
+        other on its next statement — the pooled-read-handle contract."""
+        reader = _make_store(handle, tmp_path)
+        writer = _make_store(handle, tmp_path)
         assert reader.generation() == 0
         result = _result(seed=23, process_count=3)
         key = trial_key(result.spec)
         writer.put_rows([(key, result.to_row())])
-        reader.refresh()
         assert reader.generation() == writer.generation()
         assert key in reader
         writer.close()
         reader.close()
 
-    def test_iter_keys_matches_iter_entries(self, backend, tmp_path):
-        store = _make_store(backend, tmp_path)
+    def test_iter_keys_matches_iter_entries(self, handle, tmp_path):
+        store = _make_store(handle, tmp_path)
         ok_result = _result(seed=24)
         error_result = _result(seed=25, process_count=3)
         store.put_results([
@@ -243,8 +245,8 @@ class TestGenerationCounter:
         ]
         assert list(store.iter_keys(where={"status": "timeout"})) == []
 
-    def test_iter_entries_paginates_in_key_order(self, backend, tmp_path):
-        store = _make_store(backend, tmp_path)
+    def test_iter_entries_paginates_in_key_order(self, handle, tmp_path):
+        store = _make_store(handle, tmp_path)
         results = [_result(seed=seed, process_count=3) for seed in range(5)]
         store.put_results([(trial_key(result.spec), result) for result in results])
         full = [entry.key for entry in store.iter_entries()]
@@ -265,53 +267,25 @@ class TestGenerationCounter:
         assert paged == full
 
 
-class TestJsonlDurability:
-    def test_torn_trailing_line_is_skipped_on_load(self, tmp_path):
-        store = JsonlDirectoryStore(tmp_path / "dir")
-        result = _result(seed=1, process_count=3)
-        key = trial_key(result.spec)
-        store.put_results([(key, result)])
-        (shard,) = list((tmp_path / "dir").glob("*.jsonl"))
-        with shard.open("a", encoding="utf-8") as handle:
-            handle.write('{"key": "interrupted-mid-wr')  # torn append
-        reopened = JsonlDirectoryStore(tmp_path / "dir")
-        assert reopened.corrupt_lines == 1
-        assert len(reopened) == 1
-        assert key in reopened
-
-    def test_rejects_file_path(self, tmp_path):
-        target = tmp_path / "not-a-dir"
-        target.write_text("hello")
-        with pytest.raises(ConfigurationError, match="not a directory"):
-            JsonlDirectoryStore(target)
-
-
-class TestOpenStore:
-    def test_auto_detection(self, tmp_path):
-        assert open_store(tmp_path / "warehouse.db").backend_name == "sqlite"
-        assert open_store(tmp_path / "warehouse").backend_name == "jsonl"
-        # Existing layouts win over suffix heuristics.
-        directory = tmp_path / "existing.db"
-        directory.mkdir()
-        assert open_store(directory).backend_name == "jsonl"
-
-    def test_explicit_backend(self, tmp_path):
-        assert open_store(tmp_path / "x", backend="sqlite").backend_name == "sqlite"
-        assert open_store(tmp_path / "y.db", backend="jsonl").backend_name == "jsonl"
-
-    def test_unknown_backend_rejected(self, tmp_path):
-        with pytest.raises(ConfigurationError, match="unknown store backend"):
-            open_store(tmp_path / "x", backend="warp")
-
+class TestStorePath:
     def test_non_database_file_rejected(self, tmp_path):
         target = tmp_path / "corrupt.db"
         target.write_text("this is not a sqlite database, not even close")
         with pytest.raises(ConfigurationError, match="not a usable SQLite"):
-            open_store(target)
+            SqliteResultStore(target)
 
-    def test_unopenable_sqlite_path_rejected(self, tmp_path):
-        # e.g. pointing the sqlite backend at a directory a jsonl store made.
-        directory = tmp_path / "jsonl-store"
+    @pytest.mark.parametrize("opener", ["constructor", "session"])
+    def test_existing_directory_store_path_is_rejected_naming_the_path(self, opener, tmp_path):
+        # A store is one SQLite file: a directory path fails up front with the
+        # path in the message, not with a raw sqlite3 error, whether the
+        # store is opened directly or by a session given the path.
+        directory = tmp_path / "results"
         directory.mkdir()
-        with pytest.raises(ConfigurationError, match="not a usable SQLite"):
-            open_store(directory, backend="sqlite")
+        campaign = Campaign.from_specs("dir-store", [_result(seed=1).spec])
+        open_it = {
+            "constructor": lambda: SqliteResultStore(directory),
+            "session": lambda: run_campaign(campaign, store=directory),
+        }[opener]
+        with pytest.raises(ConfigurationError, match=re.escape(str(directory))):
+            open_it()
+        assert list(directory.iterdir()) == []

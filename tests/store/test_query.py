@@ -2,27 +2,24 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.engine import Campaign, run_campaign
 from repro.exceptions import ConfigurationError
-from repro.store import (
-    JsonlDirectoryStore,
-    SqliteResultStore,
-    TrialFilter,
-    aggregate_store,
-    query_store,
-)
+from repro.store import SqliteResultStore, TrialFilter, aggregate_store, query_store
 
 
-@pytest.fixture(params=("sqlite", "jsonl"))
+@pytest.fixture(params=("campaign", "reimported"))
 def populated_store(request, tmp_path):
-    """A store holding a small mixed grid (two protocols, two adversaries)."""
-    store = (
-        SqliteResultStore(tmp_path / "store.db")
-        if request.param == "sqlite"
-        else JsonlDirectoryStore(tmp_path / "store-dir")
-    )
+    """A store holding a small mixed grid (two protocols, two adversaries).
+
+    ``campaign`` is the store the campaign wrote; ``reimported`` is a fresh
+    store rebuilt from that store's JSONL export with ``import_jsonl``, so
+    every query must answer the same across the interchange round trip.
+    """
+    store = SqliteResultStore(tmp_path / "store.db")
     campaign = Campaign.from_grid(
         "query-grid",
         protocols=("exact", "restricted_sync"),
@@ -33,6 +30,14 @@ def populated_store(request, tmp_path):
         max_rounds_override=2,
     )
     run_campaign(campaign, store=store)
+    if request.param == "reimported":
+        export = tmp_path / "export.jsonl"
+        export.write_text("".join(
+            json.dumps(entry.row, sort_keys=True) + "\n" for entry in store.iter_entries()
+        ))
+        store.close()
+        store = SqliteResultStore(tmp_path / "reimported.db")
+        assert store.import_jsonl(export) == len(campaign)
     yield store, len(campaign)
     store.close()
 

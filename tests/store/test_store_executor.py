@@ -20,7 +20,7 @@ from repro.engine import (
     run_campaign,
     strip_timing,
 )
-from repro.store import SqliteResultStore, open_store, trial_key
+from repro.store import SqliteResultStore, trial_key
 
 
 def _mixed_campaign() -> Campaign:
@@ -115,7 +115,7 @@ class TestCacheCorrectness:
         run_campaign(campaign, store=store_path)
         refreshed, _ = run_campaign(campaign, store=store_path, reuse_cached=False)
         assert refreshed.cache_hits == 0
-        with open_store(store_path) as store:
+        with SqliteResultStore(store_path) as store:
             assert len(store) == len(campaign)  # idempotent overwrite, no duplicates
 
     def test_record_history_trials_are_never_served(self, tmp_path):
@@ -195,6 +195,6 @@ class TestStoreKeysAgainstLiveRows:
         campaign = _mixed_campaign()
         store_path = tmp_path / "store.db"
         run_campaign(campaign, store=store_path)
-        with open_store(store_path) as store:
+        with SqliteResultStore(store_path) as store:
             for spec in campaign.specs:
                 assert trial_key(spec) in store

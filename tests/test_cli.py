@@ -208,13 +208,20 @@ class TestStoreFlags:
     ARGS = ["campaign", "--protocols", "restricted_sync", "--adversaries", "none", "crash",
             "--dimensions", "1", "--repeats", "2", "--seed", "17", "--max-rounds", "2"]
 
-    def test_parser_accepts_store_trio(self):
-        arguments = build_parser().parse_args(
-            self.ARGS + ["--store", "s.db", "--store-backend", "sqlite", "--resume"]
-        )
+    def test_parser_accepts_store_and_resume(self):
+        arguments = build_parser().parse_args(self.ARGS + ["--store", "s.db", "--resume"])
         assert str(arguments.store) == "s.db"
-        assert arguments.store_backend == "sqlite"
         assert arguments.resume is True
+
+    @pytest.mark.parametrize("flag", [["--pool", "spawn"], ["--store-backend", "jsonl"]],
+                             ids=["pool", "store-backend"])
+    def test_removed_flags_are_usage_errors(self, flag, capsys):
+        # One pool and one store remain; the flags that chose between two
+        # are gone, and argparse rejects them with its usage error.
+        with pytest.raises(SystemExit) as exit_info:
+            main(self.ARGS + flag)
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_resume_requires_store(self, capsys):
         with pytest.raises(SystemExit, match="--resume requires --store"):
@@ -252,12 +259,12 @@ class TestStoreFlags:
         assert "all scenarios upheld agreement and validity" in output
 
     def test_run_experiment_against_store(self, tmp_path, capsys):
-        from repro.store import open_store
+        from repro.store import SqliteResultStore
 
         store = tmp_path / "exp.db"
         assert main(["run", "E5", "--store", str(store)]) == 0
         capsys.readouterr()
-        with open_store(store) as opened:
+        with SqliteResultStore(store) as opened:
             populated = len(opened)
         assert populated > 0
         # Warm rerun serves from the store and renders the same table.
@@ -316,10 +323,10 @@ class TestStoreCommand:
     def test_export_excludes_other_engine_versions_by_default(self, tmp_path, capsys):
         # A version-mixed store must not produce a version-mixed (and
         # therefore unlabellable) export: only the requested revision ships.
-        from repro.store import open_store
+        from repro.store import SqliteResultStore
 
         store, jsonl = self._populate(tmp_path, capsys)
-        with open_store(store) as opened:
+        with SqliteResultStore(store) as opened:
             opened.import_jsonl(jsonl, engine_version="0.0.1/rows0")
             assert len(opened) == 8  # 4 current + 4 stale
         exported = tmp_path / "export.jsonl"
